@@ -25,11 +25,14 @@ bench:
 # performance gate. The row-vs-columnar and batched-fan-out comparisons
 # additionally run at full scale with enough iterations for stable ratios,
 # so the JSON's speedup/op numbers reflect the real engine, not -short
-# fixed overheads.
+# fixed overheads. BenchmarkCorrelatedReentry records the basis of the
+# cost model's re-entry constant (ns/reentry, ns/rowop, rowops/reentry;
+# see internal/exec/cost.go).
 bench-smoke:
 	( $(GO) test -run '^$$' -bench '^BenchmarkFigure[0-9]' -benchtime=1x -benchmem -short . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFigureRowVsColumnar' -benchtime=20x -benchmem . && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkFigureBatchedFanout' -benchtime=20x -benchmem . ) \
+	  $(GO) test -run '^$$' -bench '^BenchmarkFigureBatchedFanout' -benchtime=20x -benchmem . && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkCorrelatedReentry$$' -benchtime=40x ./internal/exec/ ) \
 		| $(GO) run ./cmd/benchjson > BENCH_exec.json
 	@echo "wrote BENCH_exec.json ($$(wc -c < BENCH_exec.json) bytes)"
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanCache' -benchtime=100x -short . \

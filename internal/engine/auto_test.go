@@ -1,9 +1,12 @@
 package engine_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"decorr/internal/engine"
+	"decorr/internal/qgm"
 	"decorr/internal/tpcd"
 )
 
@@ -39,6 +42,34 @@ func TestAutoChoosesPerQuery(t *testing.T) {
 	if p7.Chosen != engine.OptMagic {
 		t.Errorf("Query 1(c): Auto chose %s (cost %.0f), expected OptMagic", p7.Chosen, p7.EstimatedCost)
 	}
+
+	// The remaining figures, across scale factors. Query 1 (Figure 5):
+	// two cheap index-probe invocations, nested iteration wins. Query 1(b)
+	// (Figure 6) re-enters its subquery hundreds of times, mostly for
+	// duplicate bindings, and Query 3 (Figure 9) re-enters a union
+	// subquery for five distinct nations: once re-entry is priced at
+	// what the executor pays, magic decorrelation wins both, as the paper
+	// reports ("best, stable"; "large improvement").
+	for _, sf := range []float64{0.05, 0.1, 0.2} {
+		e := engine.New(tpcd.Generate(tpcd.Config{SF: sf, Seed: 42}))
+		for _, c := range []struct {
+			name, sql string
+			want      engine.Strategy
+		}{
+			{"Query 1", tpcd.Query1, engine.NIBatch},
+			{"Query 1(b)", tpcd.Query1b, engine.OptMagic},
+			{"Query 3", tpcd.Query3, engine.OptMagic},
+		} {
+			p, err := e.Prepare(c.sql, engine.Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Chosen != c.want {
+				t.Errorf("SF %g, %s: Auto chose %s (cost %.0f), expected %s",
+					sf, c.name, p.Chosen, p.EstimatedCost, c.want)
+			}
+		}
+	}
 }
 
 func TestAutoAlwaysCorrect(t *testing.T) {
@@ -73,5 +104,48 @@ func TestAutoCostOrderingMatchesReality(t *testing.T) {
 	}
 	if ni.EstimatedCost < 10*mag.EstimatedCost {
 		t.Errorf("estimator missed the blowup: NI=%.0f Magic=%.0f", ni.EstimatedCost, mag.EstimatedCost)
+	}
+}
+
+// Under Auto, Explain leads with the §7 decision: the chosen leg and both
+// legs' estimated costs, with the losing leg's cost matching a plain
+// prepare of that leg.
+func TestAutoExplainHeader(t *testing.T) {
+	e := engine.New(tpcd.Generate(tpcd.Config{SF: 0.05, Seed: 42}))
+	for _, c := range []struct {
+		name, sql string
+		header    string
+	}{
+		{"Query 1", tpcd.Query1, "Auto: chose NIBatch (NI winner upgraded to runtime batching); estimated cost NI="},
+		{"Query 3", tpcd.Query3, "Auto: chose OptMag; estimated cost NI="},
+	} {
+		p, err := e.Prepare(c.sql, engine.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ni, err := e.Prepare(c.sql, engine.NI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mag, err := e.Prepare(c.sql, engine.OptMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, rest, _ := strings.Cut(p.Explain(), "\n")
+		want := fmt.Sprintf("%s%.0f OptMag=%.0f", c.header, ni.EstimatedCost, mag.EstimatedCost)
+		if first != want {
+			t.Errorf("%s: Explain header %q, want %q", c.name, first, want)
+		}
+		if rest != qgm.Format(p.Graph) {
+			t.Errorf("%s: Explain body is not the chosen plan:\n%s", c.name, rest)
+		}
+	}
+	// Fixed strategies keep the bare plan.
+	p, err := e.Prepare(tpcd.Query3, engine.NI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.HasPrefix(p.Explain(), "Auto:") {
+		t.Errorf("NI plan carries the Auto header:\n%s", p.Explain())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -378,6 +379,9 @@ type Prepared struct {
 	// operator panic identifies the offending query.
 	Text   string
 	engine *Engine
+	// autoLoserCost is the estimated cost of the leg Auto did not choose
+	// (NaN when decorrelation failed and NI was the only leg).
+	autoLoserCost float64
 }
 
 // Prepare parses sql and applies the strategy's rewrite.
@@ -592,14 +596,16 @@ func (e *Engine) prepareAuto(sql string, q ast.QueryExpr, traced bool) (*Prepare
 		}
 		// Decorrelation failing is not fatal for Auto; fall back to NI.
 		ni.Strategy = Auto
+		ni.autoLoserCost = math.NaN()
 		autoBatchNI(ni)
 		return ni, nil
 	}
-	best := ni
+	best, loser := ni, mag
 	if mag.EstimatedCost < ni.EstimatedCost {
-		best = mag
+		best, loser = mag, ni
 	}
 	best.Strategy = Auto
+	best.autoLoserCost = loser.EstimatedCost
 	if best == ni {
 		autoBatchNI(best)
 	}
@@ -739,8 +745,28 @@ func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value
 	return rows, &ex.Stats, nil
 }
 
-// Explain renders the rewritten plan.
-func (p *Prepared) Explain() string { return qgm.Format(p.Graph) }
+// Explain renders the rewritten plan. Under Auto a header line first
+// records the §7 decision: the chosen leg, both legs' estimated costs,
+// and whether the NI winner was upgraded to runtime batching.
+func (p *Prepared) Explain() string {
+	if p.Strategy != Auto {
+		return qgm.Format(p.Graph)
+	}
+	niCost, magCost := p.EstimatedCost, p.autoLoserCost
+	if p.Chosen == OptMagic {
+		niCost, magCost = magCost, niCost
+	}
+	leg := p.Chosen.String()
+	if p.Chosen == NIBatch {
+		leg += " (NI winner upgraded to runtime batching)"
+	}
+	mag := "n/a"
+	if !math.IsNaN(magCost) {
+		mag = fmt.Sprintf("%.0f", magCost)
+	}
+	return fmt.Sprintf("Auto: chose %s; estimated cost NI=%.0f %s=%s\n%s",
+		leg, niCost, OptMagic, mag, qgm.Format(p.Graph))
+}
 
 // ExplainAnalyze runs the query with per-box profiling and renders the
 // plan annotated with actual evaluation counts and row counts. Correlated

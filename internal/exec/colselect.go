@@ -80,22 +80,11 @@ func (ex *Exec) colEvalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 // same point, and returns the fully bound, fully filtered batch (nil when
 // the result is empty).
 func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for q := range qgm.QuantSet(p) {
-			if own[q] {
-				pi.deps[q] = true
-			}
-		}
-		preds = append(preds, pi)
-	}
-
-	order := ex.JoinOrder(b)
+	// colSelectable admits only ForEach quantifiers, so no predicate has a
+	// subquery tie and the row path's bookkeeping applies unchanged.
+	plan := ex.planOf(b)
+	preds := plan.freshPreds(nil)
+	order := plan.order
 	bound := map[*qgm.Quantifier]bool{}
 	// The seed batch is the row path's single outer tuple: one live row
 	// with no bound quantifiers, so predicates over only outer bindings

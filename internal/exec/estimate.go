@@ -163,29 +163,13 @@ func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 // model). It accounts for q's local predicate selectivity and the join
 // predicates connecting it to the bound set.
 func (ex *Exec) EstimateGrowth(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) float64 {
-	own := map[*qgm.Quantifier]bool{}
-	for _, bq := range b.Quants {
-		own[bq] = true
-	}
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for qq := range qgm.QuantSet(p) {
-			if !own[qq] {
-				continue
-			}
-			if qq.Kind.IsSubquery() {
-				pi.sub = qq
-			} else {
-				pi.deps[qq] = true
-			}
-		}
+	preds := ex.planOf(b).freshPreds(nil)
+	for _, pi := range preds {
 		// Predicates already applicable before q binds do not count
 		// against q's growth.
 		if pi.sub == nil && depsAllBound(pi.deps, bound) {
 			pi.applied = true
 		}
-		preds = append(preds, pi)
 	}
 	return ex.estQuantGrowth(q, bound, preds)
 }

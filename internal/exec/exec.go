@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -42,8 +43,8 @@ type Options struct {
 	// Zero or negative selects runtime.GOMAXPROCS(0); one forces the
 	// classic single-threaded volcano behavior. Result rows are
 	// bit-identical and identically ordered at every setting — only wall
-	// clock (and scheduling-sensitive counters like CSERecomputes and
-	// MemoHits) changes. See docs/parallel-execution.md.
+	// clock (and the scheduling-sensitive CSERecomputes counter) changes.
+	// See docs/parallel-execution.md.
 	Workers int
 	// Tracer, when non-nil, receives one span per box evaluation with the
 	// box identity, produced rows, and wall time. The nil case is a single
@@ -102,12 +103,16 @@ type Exec struct {
 	volatileBox map[*qgm.Box]bool
 	cse         map[*qgm.Box][]storage.Row
 	cseVecs     map[*qgm.Box]*cseVecEntry
-	memo        map[*qgm.Box]map[string][]storage.Row
+	memo        map[*qgm.Box]map[string]*memoEntry
 	bindings    map[*qgm.Box]map[string]bool
 
 	estMu    sync.Mutex
 	est      map[*qgm.Box]float64
 	costMemo map[*qgm.Box]float64
+	// plans memoizes each select box's static plan for one Run (or one
+	// EstimateCost); analyze replaces it, and it stays nil on an Exec
+	// that never ran analyze (see planOf).
+	plans map[*qgm.Box]*boxPlan
 
 	profile map[*qgm.Box]*BoxProfile
 
@@ -171,7 +176,7 @@ func New(db *storage.DB, opts Options) *Exec {
 		volatileBox: map[*qgm.Box]bool{},
 		cse:         map[*qgm.Box][]storage.Row{},
 		cseVecs:     map[*qgm.Box]*cseVecEntry{},
-		memo:        map[*qgm.Box]map[string][]storage.Row{},
+		memo:        map[*qgm.Box]map[string]*memoEntry{},
 		bindings:    map[*qgm.Box]map[string]bool{},
 		est:         map[*qgm.Box]float64{},
 		colOK:       !opts.DisableColumnar && os.Getenv("DECORR_ROWMODE") == "",
@@ -283,11 +288,11 @@ func orderCmp(v colvec.Vec) func(a, b int32) int {
 }
 
 // analyze precomputes per-box free references, reference counts, and
-// cardinality estimates. It runs single-threaded before any fan-out, so
-// that during execution the scheduler workers only ever *read* freeRefs,
-// refCount and (for join ordering) the primed est memo — keeping the join
-// order, and with it the output row order, identical at every worker
-// count.
+// cardinality estimates, and starts a fresh static-plan memo. It runs
+// single-threaded before any fan-out, so that during execution the
+// scheduler workers only ever *read* freeRefs, refCount and (for join
+// ordering) the primed est memo — keeping the join order, and with it the
+// output row order, identical at every worker count.
 func (ex *Exec) analyze(root *qgm.Box) {
 	boxes := qgm.Boxes(root)
 	for _, b := range boxes {
@@ -309,6 +314,9 @@ func (ex *Exec) analyze(root *qgm.Box) {
 	for _, b := range boxes {
 		ex.estBoxRows(b)
 	}
+	ex.estMu.Lock()
+	ex.plans = map[*qgm.Box]*boxPlan{}
+	ex.estMu.Unlock()
 	if ex.colOK {
 		for _, b := range boxes {
 			switch b.Kind {
@@ -375,8 +383,10 @@ func (ex *Exec) bindingKey(b *qgm.Box, env *Env) (string, error) {
 // for one outer tuple, counting it as a correlated invocation when the box
 // is correlated, and applying the NI-memo knob. It is called concurrently
 // by scheduler workers fanning out over outer bindings; the bindings set
-// and memo cache are mutex-guarded, and a memo miss raced by two workers
-// computes the (identical) rows twice with the first store winning.
+// and memo cache are mutex-guarded, and the memo is single-flight: the
+// first worker to miss a binding evaluates it while later arrivals wait
+// for that result and count a memo hit, so each distinct binding is
+// evaluated exactly once at every worker count.
 func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	if !ex.isCorrelated(b) {
 		return ex.evalBox(b, env)
@@ -398,35 +408,61 @@ func (ex *Exec) evalSubqueryInput(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	}
 	ex.mu.Unlock()
 	if ex.opts.MemoizeCorrelated && !ex.subtreeVolatile(b) {
-		ex.mu.Lock()
-		m := ex.memo[b]
-		if m == nil {
-			m = map[string][]storage.Row{}
-			ex.memo[b] = m
-		}
-		rows, ok := m[key]
-		ex.mu.Unlock()
-		if ok {
-			bump(&ex.Stats.MemoHits, 1)
-			return rows, nil
-		}
-		rows, err := ex.evalBox(b, env)
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.govBytes(rows); err != nil {
-			return nil, err
-		}
-		ex.mu.Lock()
-		if prior, ok := m[key]; ok {
-			rows = prior // a racing worker stored the same result first
-		} else {
-			m[key] = rows
-		}
-		ex.mu.Unlock()
-		return rows, nil
+		return ex.memoEval(b, key, env)
 	}
 	return ex.evalBox(b, env)
+}
+
+// memoEntry is one NI-memo cache slot. done closes once rows/err are
+// final; until then the slot belongs to the worker evaluating it.
+type memoEntry struct {
+	done chan struct{}
+	rows []storage.Row
+	err  error
+}
+
+// memoEval serves one correlated invocation through the NI-memo cache.
+// Waiting cannot deadlock: the evaluating worker only ever waits on
+// bindings of boxes strictly inside b, and nested parallel regions run
+// inline when the worker pool is drained.
+func (ex *Exec) memoEval(b *qgm.Box, key string, env *Env) (rows []storage.Row, err error) {
+	ex.mu.Lock()
+	m := ex.memo[b]
+	if m == nil {
+		m = map[string]*memoEntry{}
+		ex.memo[b] = m
+	}
+	e, hit := m[key]
+	if !hit {
+		e = &memoEntry{done: make(chan struct{})}
+		m[key] = e
+	}
+	ex.mu.Unlock()
+	if hit {
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
+		}
+		bump(&ex.Stats.MemoHits, 1)
+		return e.rows, nil
+	}
+	defer func() {
+		// A panic must not strand the waiters with an empty "result": they
+		// receive the same *PanicError the scheduler would have made.
+		if r := recover(); r != nil {
+			e.rows, e.err = nil, &PanicError{Val: r, Stack: debug.Stack()}
+			rows, err = nil, e.err
+		}
+		close(e.done)
+	}()
+	e.rows, e.err = ex.evalBox(b, env)
+	if e.err == nil {
+		e.err = ex.govBytes(e.rows)
+	}
+	if e.err != nil {
+		e.rows = nil
+	}
+	return e.rows, e.err
 }
 
 // evalBox evaluates any box under env, applying CSE policy for shared

@@ -207,6 +207,38 @@ func TestMemoizedNI(t *testing.T) {
 	}
 }
 
+// The NI memo is single-flight: workers racing on one binding evaluate
+// it once, and the rest count memo hits. Every counter, MemoHits and
+// BoxEvals included, is then the same at any worker count.
+func TestMemoizedNISingleFlight(t *testing.T) {
+	db := tpcd.EmpDeptSized(40, 400, 6, 11)
+	q, err := parser.Parse(tpcd.ExampleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := semant.Bind(q, db.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStats := func(workers int) exec.Stats {
+		ex := exec.New(db, exec.Options{MemoizeCorrelated: true, Workers: workers})
+		if _, err := ex.Run(g); err != nil {
+			t.Fatal(err)
+		}
+		return ex.Stats
+	}
+	want := runStats(1)
+	if want.MemoHits != want.SubqueryInvocations-want.DistinctInvocations {
+		t.Fatalf("workers=1: %d memo hits for %d invocations over %d bindings",
+			want.MemoHits, want.SubqueryInvocations, want.DistinctInvocations)
+	}
+	for i := 0; i < 20; i++ {
+		if got := runStats(8); got != want {
+			t.Fatalf("run %d, workers=8: stats %s, workers=1 %s", i, got.String(), want.String())
+		}
+	}
+}
+
 func TestDerivedTable(t *testing.T) {
 	db := tpcd.EmpDept()
 	got := run(t, db, `

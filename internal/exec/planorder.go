@@ -20,35 +20,108 @@ import (
 // Lineitem inflates the tuple count (§5.3). Magic decorrelation reuses this
 // same order to split off the supplementary table (§7).
 func (ex *Exec) JoinOrder(b *qgm.Box) []*qgm.Quantifier {
-	own := map[*qgm.Quantifier]bool{}
+	return ex.planOf(b).order
+}
+
+// boxPlan is the static plan of one select box: the join order plus the
+// predicate and dependency bookkeeping every evaluation of the box starts
+// from. None of it depends on the outer binding, so a correlated box
+// re-entered once per outer tuple reuses one boxPlan for the whole Run.
+// A boxPlan is read-only once built.
+type boxPlan struct {
+	order []*qgm.Quantifier
+	// preds holds one bookkeeping template per predicate (applied unset);
+	// freshPreds hands each evaluation its own copies.
+	preds []selPred
+	// lateral maps each quantifier to the sibling row-contributing
+	// quantifiers its input references (ownDeps).
+	lateral map[*qgm.Quantifier]map[*qgm.Quantifier]bool
+	// multiSub lists predicates tying two subquery quantifiers at once,
+	// which the executor cannot place.
+	multiSub []qgm.Expr
+}
+
+// freshPreds returns per-evaluation copies of the predicate templates,
+// leaving out the skipped ones.
+func (bp *boxPlan) freshPreds(skip map[qgm.Expr]bool) []*selPred {
+	buf := make([]selPred, 0, len(bp.preds))
+	out := make([]*selPred, 0, len(bp.preds))
+	for _, pi := range bp.preds {
+		if skip[pi.expr] {
+			continue
+		}
+		buf = append(buf, pi)
+		out = append(out, &buf[len(buf)-1])
+	}
+	return out
+}
+
+// planOf returns b's static plan. During a Run (and an EstimateCost) the
+// plan is built once per box and shared by every evaluation; analyze
+// creates the memo before any fan-out. An Exec that never ran analyze —
+// the orderer the rewrites consult while they mutate the graph — has no
+// memo and plans afresh on every call.
+func (ex *Exec) planOf(b *qgm.Box) *boxPlan {
+	ex.estMu.Lock()
+	memo := ex.plans
+	bp := memo[b]
+	ex.estMu.Unlock()
+	if bp != nil {
+		return bp
+	}
+	bp = ex.buildPlan(b)
+	if memo != nil {
+		// Workers racing on a miss build identical plans (the estimates
+		// they read were primed by analyze); the first store wins.
+		ex.estMu.Lock()
+		if prior := memo[b]; prior != nil {
+			bp = prior
+		} else {
+			memo[b] = bp
+		}
+		ex.estMu.Unlock()
+	}
+	return bp
+}
+
+// buildPlan computes b's static plan (see JoinOrder for the ordering rule).
+func (ex *Exec) buildPlan(b *qgm.Box) *boxPlan {
+	bp := &boxPlan{
+		preds:   make([]selPred, 0, len(b.Preds)),
+		lateral: make(map[*qgm.Quantifier]map[*qgm.Quantifier]bool, len(b.Quants)),
+	}
+	own := make(map[*qgm.Quantifier]bool, len(b.Quants))
 	for _, q := range b.Quants {
 		own[q] = true
 	}
-	// Predicates with bookkeeping local to the simulation.
-	preds := make([]*selPred, 0, len(b.Preds))
 	for _, p := range b.Preds {
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
+		pi := selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
 		for q := range qgm.QuantSet(p) {
 			if !own[q] {
 				continue
 			}
 			if q.Kind.IsSubquery() {
+				if pi.sub != nil && pi.sub != q {
+					bp.multiSub = append(bp.multiSub, p)
+				}
 				pi.sub = q
 			} else {
 				pi.deps[q] = true
 			}
 		}
-		preds = append(preds, pi)
+		bp.preds = append(bp.preds, pi)
 	}
+	// The simulation below marks predicates applied on its own copies.
+	preds := bp.freshPreds(nil)
 	// Lateral dependencies of row-contributing quantifiers, and full
 	// dependencies of late quantifiers.
 	deps := map[*qgm.Quantifier]map[*qgm.Quantifier]bool{}
 	for _, q := range b.Quants {
+		lat := ownDeps(q, own)
+		bp.lateral[q] = lat
 		d := map[*qgm.Quantifier]bool{}
-		for _, r := range qgm.FreeRefs(q.Input) {
-			if own[r.Q] && !r.Q.Kind.IsSubquery() {
-				d[r.Q] = true
-			}
+		for x := range lat {
+			d[x] = true
 		}
 		if q.Kind.IsSubquery() {
 			for _, pi := range preds {
@@ -160,7 +233,8 @@ func (ex *Exec) JoinOrder(b *qgm.Box) []*qgm.Quantifier {
 			out = append(out, order[p])
 		}
 	}
-	return out
+	bp.order = out
+	return bp
 }
 
 func bestScoreOr(v, def float64) float64 {

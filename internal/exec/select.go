@@ -16,12 +16,13 @@ type selPred struct {
 	applied bool
 }
 
-// lateQuant is a scalar or existential/universal quantifier awaiting its
-// dependencies.
+// lateQuant is an existential/universal quantifier being bound: its tie
+// predicates, and whether its input references sibling quantifiers (then
+// it re-evaluates per tuple).
 type lateQuant struct {
-	q    *qgm.Quantifier
-	deps map[*qgm.Quantifier]bool
-	ties []*selPred
+	q     *qgm.Quantifier
+	local bool
+	ties  []*selPred
 }
 
 // evalSelect evaluates an SPJ box: phase 1 (selectTuples) produces the
@@ -64,34 +65,14 @@ func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 // execution deliberately trades those per-binding access paths for one
 // shared pass.
 func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) ([]*Env, error) {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
-	}
-
-	preds := make([]*selPred, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		if skip[p] {
-			continue
+	plan := ex.planOf(b)
+	for _, p := range plan.multiSub {
+		if !skip[p] {
+			return nil, fmt.Errorf("exec: predicate references two subquery quantifiers")
 		}
-		pi := &selPred{expr: p, deps: map[*qgm.Quantifier]bool{}}
-		for q := range qgm.QuantSet(p) {
-			if !own[q] {
-				continue
-			}
-			if q.Kind.IsSubquery() {
-				if pi.sub != nil && pi.sub != q {
-					return nil, fmt.Errorf("exec: predicate references two subquery quantifiers")
-				}
-				pi.sub = q
-			} else {
-				pi.deps[q] = true
-			}
-		}
-		preds = append(preds, pi)
 	}
-
-	order := ex.JoinOrder(b)
+	preds := plan.freshPreds(skip)
+	order := plan.order
 
 	bound := map[*qgm.Quantifier]bool{}
 	tuples := []*Env{env}
@@ -138,10 +119,9 @@ func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) (
 		var err error
 		switch {
 		case q.Kind == qgm.QScalar:
-			deps := ownDeps(q, own)
-			tuples, err = ex.bindScalar(q, deps, tuples, env)
+			tuples, err = ex.bindScalar(q, plan.lateral[q], tuples, env)
 		case q.Kind.IsSubquery():
-			li := &lateQuant{q: q}
+			li := &lateQuant{q: q, local: len(plan.lateral[q]) > 0}
 			for _, pi := range preds {
 				if pi.sub == q {
 					li.ties = append(li.ties, pi)
@@ -151,7 +131,7 @@ func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) (
 			for _, pi := range li.ties {
 				pi.applied = true
 			}
-		case len(ownDeps(q, own)) > 0:
+		case len(plan.lateral[q]) > 0:
 			// Lateral derived table: re-evaluate per tuple.
 			tuples, err = ex.bindLateral(q, tuples)
 		default:

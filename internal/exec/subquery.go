@@ -15,14 +15,7 @@ import (
 // predicates — and re-evaluated per tuple otherwise (nested iteration).
 func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*Env, error) {
 	q := li.q
-	inputLocal := false // input depends on this box's own quantifiers
-	for _, r := range qgm.FreeRefs(q.Input) {
-		if r.Q.Owner == q.Owner && !r.Q.Kind.IsSubquery() {
-			inputLocal = true
-			break
-		}
-	}
-	if inputLocal {
+	if li.local {
 		// Correlated to sibling quantifiers. Under BatchCorrelated the
 		// whole outer stream evaluates set-at-a-time; the quantifier
 		// condition is order-insensitive over each tuple's materialized
