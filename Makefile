@@ -1,10 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
+.PHONY: check fmt-check vet build test bench bench-smoke fmt fuzz-smoke fault-smoke obs-smoke server-smoke chaos-smoke
 
-# check is the CI gate: static analysis, a full build, and the test suite
-# under the race detector.
-check: vet build test
+# check is the CI gate: formatting, static analysis, a full build, and the
+# test suite under the race detector.
+check: fmt-check vet build test
+
+# fmt-check fails when any Go file is not gofmt-formatted (the benchmark's
+# build directory, which holds its own GOPATH, is not part of the tree).
+fmt-check:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

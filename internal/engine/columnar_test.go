@@ -49,6 +49,14 @@ func TestColumnarRowParity(t *testing.T) {
 		{"DistinctProject",
 			`Select Distinct E.building From Emp E`,
 			empDB, []engine.Strategy{engine.NI}},
+		{"AbsOfAggregate",
+			`Select D.building, Abs(Sum(D.budget) - 100000) From Dept D
+			 Group By D.building Order By D.building`,
+			empDB, []engine.Strategy{engine.NI}},
+		{"SyntheticTable",
+			`Select S.grp, Count(*), Sum(T.val) From S, T
+			 Where S.grp = T.grp and S.id > 2 Group By S.grp Order By S.grp`,
+			syntheticDB(), []engine.Strategy{engine.NI}},
 	}
 	for _, c := range cases {
 		for _, s := range c.strategies {
@@ -91,6 +99,33 @@ func TestColumnarRowParity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// syntheticDB holds a synthetic table S (rows from a deterministic
+// RowSource, like the sys.* catalog) next to a stored table T.
+func syntheticDB() *storage.DB {
+	db := storage.NewDB()
+	grps := []string{"a", "b", "c"}
+	db.CreateSynthetic(schema.NewTable("s",
+		schema.Column{Name: "id", Type: schema.TInt},
+		schema.Column{Name: "grp", Type: schema.TString},
+	), func() []storage.Row {
+		rows := make([]storage.Row, 40)
+		for i := range rows {
+			rows[i] = storage.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(grps[i%3])}
+		}
+		return rows
+	})
+	t := db.Create(schema.NewTable("t",
+		schema.Column{Name: "grp", Type: schema.TString},
+		schema.Column{Name: "val", Type: schema.TInt},
+	))
+	for i := 0; i < 10; i++ {
+		if err := t.Insert(storage.Row{sqltypes.NewString(grps[i%2]), sqltypes.NewInt(int64(i))}); err != nil {
+			panic(err)
+		}
+	}
+	return db
 }
 
 // edgeDB builds a table tailored for selection-vector edge cases: n rows

@@ -713,17 +713,7 @@ func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value
 			rows, stats, err = nil, nil, pe
 		}
 	}()
-	ex := exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           p.engine.Workers,
-		Tracer:            p.engine.Tracer,
-		Params:            params,
-		Ctx:               ctx,
-		Limits:            p.engine.Limits,
-		DisableColumnar:   p.engine.RowMode,
-	})
+	ex := exec.New(p.engine.DB, p.execOptions(ctx, params, p.engine.Workers, p.engine.Limits))
 	if aq != nil {
 		// Publish the live counters: workers bump them atomically, so
 		// Active() can watch rows scanned/joined/grouped grow mid-run.
@@ -743,6 +733,23 @@ func (p *Prepared) RunParamsContext(ctx context.Context, params []sqltypes.Value
 	}
 	sp.End(trace.Int("rows", int64(len(rows))))
 	return rows, &ex.Stats, nil
+}
+
+// execOptions is the one place a prepared plan's executor options are
+// spelled out: the engine's knobs and the chosen strategy's executor mode,
+// plus the per-call context, parameter values, worker count and limits.
+func (p *Prepared) execOptions(ctx context.Context, params []sqltypes.Value, workers int, limits exec.Limits) exec.Options {
+	return exec.Options{
+		MaterializeCSE:    p.engine.MaterializeCSE,
+		MemoizeCorrelated: p.Chosen == NIMemo,
+		BatchCorrelated:   p.Chosen == NIBatch,
+		Workers:           workers,
+		Tracer:            p.engine.Tracer,
+		Params:            params,
+		Ctx:               ctx,
+		Limits:            limits,
+		DisableColumnar:   p.engine.RowMode,
+	}
 }
 
 // Explain renders the rewritten plan. Under Auto a header line first
@@ -786,15 +793,7 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (out string, err e
 			out, err = "", pe
 		}
 	}()
-	ex := exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           p.engine.Workers,
-		Tracer:            p.engine.Tracer,
-		Ctx:               ctx,
-		Limits:            p.engine.Limits,
-	})
+	ex := exec.New(p.engine.DB, p.execOptions(ctx, nil, p.engine.Workers, p.engine.Limits))
 	ex.EnableProfiling()
 	sp := p.engine.Tracer.Begin("explain-analyze", "engine", trace.Str("strategy", p.Strategy.String()))
 	_, runErr := ex.Run(p.Graph)

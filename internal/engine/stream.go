@@ -77,17 +77,7 @@ func (p *Prepared) StreamWithOpts(ctx context.Context, params []sqltypes.Value, 
 	if opts.Limits != nil {
 		limits = *opts.Limits
 	}
-	s.ex = exec.New(p.engine.DB, exec.Options{
-		MaterializeCSE:    p.engine.MaterializeCSE,
-		MemoizeCorrelated: p.Chosen == NIMemo,
-		BatchCorrelated:   p.Chosen == NIBatch,
-		Workers:           workers,
-		Tracer:            p.engine.Tracer,
-		Params:            params,
-		Ctx:               ctx,
-		Limits:            limits,
-		DisableColumnar:   p.engine.RowMode,
-	})
+	s.ex = exec.New(p.engine.DB, p.execOptions(ctx, params, workers, limits))
 	if s.aq != nil {
 		s.aq.stats.Store(&s.ex.Stats)
 	}

@@ -38,12 +38,12 @@ func (ex *Exec) batchEligible(b *qgm.Box) bool {
 	return ex.opts.BatchCorrelated && ex.profile == nil && !ex.subtreeVolatile(b)
 }
 
-// batchSubqueryRows evaluates the correlated subtree q.Input for every
-// outer tuple set-at-a-time. It returns per-tuple row sets aligned with
+// batchSubqueryRows evaluates the correlated subtree of plan step st for
+// every outer tuple set-at-a-time. It returns per-tuple row sets aligned with
 // tuples; ok=false means the path declined and the caller must fall back
 // to the per-tuple NI loop.
-func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (per [][]storage.Row, ok bool, err error) {
-	b := q.Input
+func (ex *Exec) batchSubqueryRows(st *planStep, tuples []*Env, env *Env) (per [][]storage.Row, ok bool, err error) {
+	b := st.q.Input
 	if !ex.batchEligible(b) || !ex.isCorrelated(b) {
 		return nil, false, nil
 	}
@@ -90,7 +90,10 @@ func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (p
 		return nil, true, err
 	}
 	var perRep [][]storage.Row
-	if sig, sok := qgm.ExtractBatchSignature(b, ex.varyingQuants(b, q.Owner)); sok {
+	// The sibling quantifiers are the ones whose bindings vary across the
+	// outer tuple stream; references to quantifiers of ancestor boxes are
+	// run-constant here (env binds them once).
+	if sig, sok := qgm.ExtractBatchSignature(b, st.siblings); sok {
 		perRep, err = ex.batchSingleExec(b, sig, reps, env)
 	} else {
 		// Per-distinct-binding fallback: plain nested iteration over the
@@ -115,20 +118,6 @@ func (ex *Exec) batchSubqueryRows(q *qgm.Quantifier, tuples []*Env, env *Env) (p
 		per[i] = perRep[index[k]]
 	}
 	return per, true, nil
-}
-
-// varyingQuants returns the sibling quantifiers of owner that subtree b's
-// free references resolve to — the quantifiers whose bindings vary across
-// the outer tuple stream. References to quantifiers of ancestor boxes are
-// run-constant here (env binds them once) and are excluded.
-func (ex *Exec) varyingQuants(b *qgm.Box, owner *qgm.Box) map[*qgm.Quantifier]bool {
-	varying := map[*qgm.Quantifier]bool{}
-	for _, rk := range ex.freeRefs[b] {
-		if rk.Q.Owner == owner && !rk.Q.Kind.IsSubquery() {
-			varying[rk.Q] = true
-		}
-	}
-	return varying
 }
 
 // batchSingleExec is the single-execution path: run subtree b once under

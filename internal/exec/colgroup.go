@@ -21,7 +21,9 @@ import (
 // colGroupable reports whether the vectorized engine can evaluate group
 // box b: single input quantifier, vectorizable keys and aggregate
 // arguments, and only aggregate ops whose accumulators exist (unknown ops
-// must keep producing the row path's per-row behavior).
+// must keep producing the row path's per-row behavior). Output
+// expressions need no check: emitGroupStates evaluates them per group
+// from the accumulators, exactly as the row path does.
 func (ex *Exec) colGroupable(b *qgm.Box) bool {
 	if len(b.Quants) != 1 {
 		return false
@@ -39,24 +41,6 @@ func (ex *Exec) colGroupable(b *qgm.Box) bool {
 			return false
 		}
 		if a.Op != qgm.AggCountStar && !colExprOK(a.Arg) {
-			return false
-		}
-	}
-	for _, c := range b.Cols {
-		ok := true
-		qgm.Walk(c.Expr, func(e qgm.Expr) bool {
-			if _, isAgg := e.(*qgm.Agg); isAgg {
-				return false // evaluated from the accumulator, not vectorized
-			}
-			switch f := e.(type) {
-			case *qgm.Func:
-				if f.Name != "coalesce" {
-					ok = false
-				}
-			}
-			return ok
-		})
-		if !ok {
 			return false
 		}
 	}

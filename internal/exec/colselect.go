@@ -1,13 +1,15 @@
 // Columnar select evaluation: the vectorized phase 1 (colSelectBatch,
 // mirroring selectTuples) and phase 2 (colProjectRows, mirroring
-// projectTuples). The join order, predicate placement, index/hash/cross
-// dispatch, statistics bumps, governance charges, and fault-injection
-// points are the row path's exactly — only the unit of work changes from
-// one bound tuple to one column-batch morsel. Hash joins replace the
-// per-row string-keyed map with an arena hash table: all key encodings
-// live in one []byte, buckets are power-of-two FNV-1a, and chains emit in
-// ascending build-row order so probe output matches the row engine's
-// append-built map buckets row for row.
+// projectTuples). Both phases walk the box's compiled plan (planorder.go),
+// so the join order, predicate placement and index/hash/cross dispatch are
+// the row path's by construction; the statistics bumps, governance
+// charges, and fault-injection points are kept identical by hand — only
+// the unit of work changes from one bound tuple to one column-batch
+// morsel. Hash joins replace the per-row string-keyed map with an arena
+// hash table: all key encodings live in one []byte, buckets are
+// power-of-two FNV-1a, and chains emit in ascending build-row order so
+// probe output matches the row engine's append-built map buckets row for
+// row.
 package exec
 
 import (
@@ -21,27 +23,20 @@ import (
 )
 
 // colSelectable reports whether the vectorized engine can evaluate select
-// box b: every quantifier is a plain ForEach over either a stored base
-// table or an uncorrelated derived input (evaluated through evalBox and
-// re-columnarized at the boundary). Subqueries, laterals, and synthetic
-// relations stay on the row path, and every predicate and output
-// expression must vectorize.
+// box b: every step of its plan binds a plain ForEach quantifier over a
+// base table or an uncorrelated derived input (evaluated through evalBox
+// and re-columnarized at the boundary; a synthetic sys.* table's scanned
+// rows are columnarized the same way), and every predicate and output
+// expression vectorizes. Subqueries and laterals stay on the row path.
 func (ex *Exec) colSelectable(b *qgm.Box) bool {
-	own := map[*qgm.Quantifier]bool{}
-	for _, q := range b.Quants {
-		own[q] = true
+	plan := ex.planOf(b, nil)
+	if plan.err != nil {
+		return false
 	}
-	for _, q := range b.Quants {
-		if q.Kind != qgm.QForEach {
-			return false
-		}
-		if q.Input.Kind == qgm.BoxBase {
-			tbl := ex.db.Table(q.Input.Table.Name)
-			if tbl == nil || tbl.Synthetic() {
-				return false
-			}
-		} else if len(ownDeps(q, own)) > 0 {
-			// Lateral derived table: re-evaluates per tuple on the row path.
+	for _, st := range plan.steps {
+		switch st.access {
+		case accScan, accHash, accIndex:
+		default:
 			return false
 		}
 	}
@@ -75,68 +70,49 @@ func (ex *Exec) colEvalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return out, nil
 }
 
-// colSelectBatch is the vectorized selectTuples: it binds the ForEach
-// quantifiers in the same greedy join order, applies each predicate at the
-// same point, and returns the fully bound, fully filtered batch (nil when
-// the result is empty).
+// colSelectBatch is the vectorized selectTuples: it walks the same
+// compiled plan and returns the fully bound, fully filtered batch (nil
+// when the result is empty).
 func (ex *Exec) colSelectBatch(b *qgm.Box, env *Env) (*colBatch, error) {
-	// colSelectable admits only ForEach quantifiers, so no predicate has a
-	// subquery tie and the row path's bookkeeping applies unchanged.
-	plan := ex.planOf(b)
-	preds := plan.freshPreds(nil)
-	order := plan.order
-	bound := map[*qgm.Quantifier]bool{}
+	plan := ex.planOf(b, nil)
+	if plan.err != nil {
+		return nil, plan.err
+	}
 	// The seed batch is the row path's single outer tuple: one live row
 	// with no bound quantifiers, so predicates over only outer bindings
 	// and constants can apply before the first join.
 	batch := &colBatch{phys: 1, sel: []int32{0}}
-
-	depsBound := func(deps map[*qgm.Quantifier]bool) bool {
-		for d := range deps {
-			if !bound[d] {
-				return false
-			}
-		}
-		return true
-	}
-	applyReady := func() error {
-		for _, pi := range preds {
-			if pi.applied || !depsBound(pi.deps) {
-				continue
-			}
-			pi.applied = true
-			if err := ex.colFilterBatch(batch, pi.expr, env); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := applyReady(); err != nil {
+	if err := ex.colFilterAll(batch, plan.pre, env); err != nil {
 		return nil, err
 	}
-	for _, q := range order {
+	for i := range plan.steps {
 		if len(batch.sel) == 0 {
 			return nil, nil
 		}
-		next, err := ex.colBindForEach(q, bound, preds, batch, env)
+		st := &plan.steps[i]
+		next, err := ex.colBindForEach(st, batch, env)
 		if err != nil {
 			return nil, err
 		}
 		batch = next
-		bound[q] = true
-		if err := applyReady(); err != nil {
+		if err := ex.colFilterAll(batch, st.after, env); err != nil {
 			return nil, err
 		}
 	}
 	if len(batch.sel) == 0 {
 		return nil, nil
 	}
-	for _, pi := range preds {
-		if !pi.applied {
-			return nil, fmt.Errorf("exec: predicate %s left unapplied in box %d", qgm.FormatExpr(pi.expr), b.ID)
+	return batch, nil
+}
+
+// colFilterAll narrows the batch by each predicate in turn.
+func (ex *Exec) colFilterAll(b *colBatch, preds []qgm.Expr, env *Env) error {
+	for _, p := range preds {
+		if err := ex.colFilterBatch(b, p, env); err != nil {
+			return err
 		}
 	}
-	return batch, nil
+	return nil
 }
 
 // colFilterBatch narrows the batch's selection vector to the rows where e
@@ -163,25 +139,27 @@ func (ex *Exec) colFilterBatch(b *colBatch, e qgm.Expr, env *Env) error {
 	return nil
 }
 
-// colBindForEach is the vectorized bindForEach: index lookup (base tables
-// only), then hash join, then cross product, with the same predicate
-// consumption and the same statistics at each exit. Derived inputs
-// materialize through evalBox — the row path's exact call, so its
-// bookkeeping carries over — and re-columnarize at the boundary.
-func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, batch *colBatch, env *Env) (*colBatch, error) {
+// colBindForEach is the vectorized bindForEach: the plan step's index
+// probe, hash join or cross product, with the same statistics at each
+// exit. Derived inputs materialize through evalBox — the row path's exact
+// call, so its bookkeeping carries over — and re-columnarize at the
+// boundary.
+func (ex *Exec) colBindForEach(st *planStep, batch *colBatch, env *Env) (*colBatch, error) {
+	if st.access == accIndex {
+		return ex.colIndexBind(st, batch, env)
+	}
+	q := st.q
 	var vecs []colvec.Vec
 	var phys int
 	if q.Input.Kind == qgm.BoxBase {
-		tbl := ex.db.Table(q.Input.Table.Name)
+		tbl := st.tbl
 		if tbl == nil {
 			return nil, fmt.Errorf("exec: table %q has no storage", q.Input.Table.Name)
 		}
-		if pi, col, other := findIndexPred(q, bound, preds, tbl); pi != nil {
-			return ex.colIndexBind(q, tbl, col, other, pi, bound, preds, batch, env)
-		}
 		// Scan. Table.Scan stays the fault-injection point; the cached
-		// column vectors carry the same rows (eligibility excluded synthetic
-		// tables, whose vectors could go stale).
+		// column vectors carry the same rows. A synthetic table has no
+		// cached vectors (its rows come fresh from its source on every
+		// scan), so its scanned rows are columnarized here.
 		scanned, err := tbl.Scan()
 		if err != nil {
 			return nil, err
@@ -220,45 +198,19 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 	// pass over the survivors keeps the same result set — which of two
 	// co-failing predicates' errors surfaces first may differ, the
 	// documented vector-major divergence.
-	var local []*selPred
-	for _, pi := range preds {
-		if !pi.applied && pi.sub == nil && len(pi.deps) == 1 && pi.deps[q] {
-			local = append(local, pi)
-		}
+	if err := ex.colFilterAll(qb, st.local, env); err != nil {
+		return nil, err
 	}
-	for _, pi := range local {
-		if err := ex.colFilterBatch(qb, pi.expr, env); err != nil {
-			return nil, err
-		}
-	}
-	for _, pi := range local {
-		pi.applied = true
-	}
-	// Hash join on equality predicates connecting q to the bound set.
-	var qSides, boundSides []qgm.Expr
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, bound, q) {
-			continue
-		}
-		if qs, bs, ok := splitEqui(pi.expr, q, bound); ok {
-			qSides = append(qSides, qs)
-			boundSides = append(boundSides, bs)
-			pi.applied = true
-		}
-	}
-	if len(qSides) > 0 {
+	if st.access == accHash {
 		if err := ex.colHashBuildCheck(vecs, qb.sel); err != nil {
 			return nil, err
 		}
 		bump(&ex.Stats.HashBuilds, 1)
-		ht, err := ex.colBuildHash(qSides, qb, env)
+		ht, err := ex.colBuildHash(st.buildKeys, qb, env)
 		if err != nil {
 			return nil, err
 		}
-		tupleIdx, rowIdx, err := ex.colProbeHash(ht, boundSides, batch, env)
+		tupleIdx, rowIdx, err := ex.colProbeHash(ht, st.probeKeys, batch, env)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +224,7 @@ func (ex *Exec) colBindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 		}
 		return joined, nil
 	}
-	// Cross product (residual predicates apply via applyReady).
+	// Cross product (residual predicates apply after the step).
 	nq := len(qb.sel)
 	pairs, err := parallelChunks(ex, len(batch.sel), colMorsel, func(lo, hi int) (colPairs, error) {
 		p := colPairs{
@@ -626,26 +578,15 @@ func (ex *Exec) colProbeHash(ht *colHashTable, exprs []qgm.Expr, batch *colBatch
 }
 
 // colIndexBind is the vectorized indexBind: per probe row the table's
-// hash index supplies candidate ids, then the locally applicable
-// predicates filter the joined batch. The row path reads indexed rows
-// directly (no Scan), so there is no scan fault point or RowsScanned bump
-// here either.
-func (ex *Exec) colIndexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred *selPred, bound map[*qgm.Quantifier]bool, preds []*selPred, batch *colBatch, env *Env) (*colBatch, error) {
-	ipred.applied = true
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if pi.deps[q] && depsSubset(pi.deps, bound, q) {
-			local = append(local, pi)
-			pi.applied = true
-		}
-	}
+// hash index supplies candidate ids, then the step's remaining predicates
+// filter the joined batch. The row path reads indexed rows directly (no
+// Scan), so there is no scan fault point or RowsScanned bump here either.
+func (ex *Exec) colIndexBind(st *planStep, batch *colBatch, env *Env) (*colBatch, error) {
+	q, tbl, col := st.q, st.tbl, st.indexCol
 	intIdx := tbl.IntIndex(col)
 	chunks, err := parallelChunks(ex, len(batch.sel), colMorsel, func(lo, hi int) (colPairs, error) {
 		idx := batch.sel[lo:hi]
-		v, err := ex.colEval(other, batch, idx, env)
+		v, err := ex.colEval(st.probe, batch, idx, env)
 		if err != nil {
 			return colPairs{}, err
 		}
@@ -716,10 +657,8 @@ func (ex *Exec) colIndexBind(q *qgm.Quantifier, tbl *storage.Table, col int, oth
 	if err != nil {
 		return nil, err
 	}
-	for _, pi := range local {
-		if err := ex.colFilterBatch(joined, pi.expr, env); err != nil {
-			return nil, err
-		}
+	if err := ex.colFilterAll(joined, st.local, env); err != nil {
+		return nil, err
 	}
 	bump(&ex.Stats.RowsJoined, int64(len(joined.sel)))
 	if err := ex.govRows(len(joined.sel)); err != nil {

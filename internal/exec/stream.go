@@ -4,11 +4,12 @@
 // put a million-row answer on the wire in constant memory. Three modes,
 // chosen at start:
 //
-//   - scan streaming: the root is a single-table SPJ box (one ForEach
-//     quantifier over a base table, only local/constant predicates, no
-//     usable index). Filtering and projection run per batch directly over
-//     the stored rows, so nothing proportional to the result is ever
-//     materialized — the only resident data is the table itself.
+//   - scan streaming: the root's compiled plan (planorder.go) is one scan
+//     step over a stored base table — a single ForEach quantifier whose
+//     predicates are local or constant and that no index probe serves.
+//     Filtering and projection run per batch directly over the stored
+//     rows, so nothing proportional to the result is ever materialized —
+//     the only resident data is the table itself.
 //   - tuple streaming: any other root select box. Phase 1 (join ordering,
 //     quantifier binding, predicate application — selectTuples) runs
 //     eagerly as in Run; the final projection (and DISTINCT dedup) then
@@ -74,11 +75,11 @@ type RowIterator struct {
 	cbatch *colBatch
 	cpos   int
 
-	// scan mode: stored rows awaiting filter+projection.
-	q      *qgm.Quantifier
-	locals []qgm.Expr
-	scan   []storage.Row
-	spos   int
+	// scan mode: the root's single scan step and its stored rows awaiting
+	// filter+projection.
+	step *planStep
+	scan []storage.Row
+	spos int
 
 	// seen carries DISTINCT dedup state across batches (first occurrence
 	// wins, as in dedupeRows).
@@ -230,11 +231,10 @@ func (it *RowIterator) start() error {
 		}
 		it.box = root
 		bump(&ex.Stats.BoxEvals, 1) // the root evaluation evalBox would count
-		if q, consts, locals, ok := ex.scanStreamPlan(root); ok {
+		if plan := ex.planOf(root, nil); scanStreamable(plan) {
 			it.mode = modeScan
-			it.q = q
-			it.locals = locals
-			return it.startScan(consts)
+			it.step = &plan.steps[0]
+			return it.startScan(plan.pre)
 		}
 		it.mode = modeTuples
 		if ex.colEnabled() && ex.colSel[root] {
@@ -295,76 +295,30 @@ func (it *RowIterator) finish(err error) {
 	}
 }
 
-// scanStreamPlan decides whether root select b qualifies for scan
-// streaming and splits its predicates into constant conjuncts (no
-// quantifier references — evaluated once, before the scan) and local
-// conjuncts (referencing only the single ForEach quantifier). Any shape
-// the materialized path would execute differently — multiple quantifiers,
-// subqueries, an index-eligible equality — declines, so the tuple or
-// materialized mode reproduces its exact stats.
-func (ex *Exec) scanStreamPlan(b *qgm.Box) (q *qgm.Quantifier, consts, locals []qgm.Expr, ok bool) {
-	if len(b.Quants) != 1 {
-		return nil, nil, nil, false
+// scanStreamable reports whether a root select's plan qualifies for scan
+// streaming: a single scan step over a stored base table, with no filter
+// left for after the bind. Its pre predicates are the constant conjuncts
+// (evaluated once, before the scan) and its local ones filter each row.
+// Any other plan — several quantifiers, a subquery, an index probe —
+// runs in tuple or materialized mode, which reproduce its exact stats.
+func scanStreamable(plan *boxPlan) bool {
+	if plan.err != nil || len(plan.steps) != 1 {
+		return false
 	}
-	q = b.Quants[0]
-	if q.Kind != qgm.QForEach || q.Input.Kind != qgm.BoxBase {
-		return nil, nil, nil, false
-	}
-	tbl := ex.db.Table(q.Input.Table.Name)
-	if tbl == nil {
-		return nil, nil, nil, false
-	}
-	for _, p := range b.Preds {
-		qs := qgm.QuantSet(p)
-		refsQ := false
-		for qq := range qs {
-			if qq != q {
-				return nil, nil, nil, false
-			}
-			refsQ = true
-		}
-		if !refsQ {
-			consts = append(consts, p)
-			continue
-		}
-		// An index-eligible equality would take the IndexLookups path in
-		// bindForEach; decline so stats stay identical.
-		if bin, isBin := p.(*qgm.Bin); isBin && bin.Op == qgm.OpEq {
-			for _, try := range [][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-				if ref, isRef := try[0].(*qgm.ColRef); isRef && ref.Q == q &&
-					!qgm.RefsQuant(try[1], q) && tbl.HasIndex(ref.Col) {
-					return nil, nil, nil, false
-				}
-			}
-		}
-		locals = append(locals, p)
-	}
-	return q, consts, locals, true
+	st := &plan.steps[0]
+	return st.access == accScan && st.tbl != nil && len(st.after) == 0
 }
 
 // startScan applies the constant conjuncts (over the root's single empty
-// binding, exactly as applyReady does) and scans the base table. A false
-// constant short-circuits to an empty stream without touching storage.
+// binding, exactly as selectTuples applies a plan's pre predicates) and
+// scans the base table. A false constant short-circuits to an empty
+// stream without touching storage.
 func (it *RowIterator) startScan(consts []qgm.Expr) error {
 	ex := it.ex
-	tuples := []*Env{nil}
-	for _, p := range consts {
-		kept, err := parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-			tr, err := ex.EvalPred(p, t)
-			if err != nil {
-				return false, err
-			}
-			return tr == sqltypes.True, nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(kept) == 0 {
-			return nil // empty scan, stream exhausts immediately
-		}
+	if kept, err := ex.filterTuples([]*Env{nil}, consts); err != nil || len(kept) == 0 {
+		return err // a false constant: the stream exhausts immediately
 	}
-	tbl := ex.db.Table(it.q.Input.Table.Name)
-	rows, err := tbl.Scan()
+	rows, err := it.step.tbl.Scan()
 	if err != nil {
 		return err
 	}
@@ -381,7 +335,7 @@ func (it *RowIterator) startScan(consts []qgm.Expr) error {
 // projects survivors immediately, so a batch's working set is one batch of
 // output rows.
 func (it *RowIterator) scanBatch() ([]storage.Row, error) {
-	ex, b, q := it.ex, it.box, it.q
+	ex, b, st := it.ex, it.box, it.step
 	lo := it.spos
 	hi := min(lo+streamBatchRows, len(it.scan))
 	it.spos = hi
@@ -389,9 +343,9 @@ func (it *RowIterator) scanBatch() ([]storage.Row, error) {
 	chunks, err := parallelChunks(ex, len(seg), rowMorsel, func(clo, chi int) ([]storage.Row, error) {
 		var out []storage.Row
 		for _, r := range seg[clo:chi] {
-			renv := Bind(nil, q, r)
+			renv := Bind(nil, st.q, r)
 			keep := true
-			for _, p := range it.locals {
+			for _, p := range st.local {
 				tr, err := ex.EvalPred(p, renv)
 				if err != nil {
 					return nil, err

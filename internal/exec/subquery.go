@@ -13,21 +13,21 @@ import (
 // dependencies on this box's quantifiers (the set-oriented case a
 // decorrelated plan reaches) — with a hash fast path for equality tie
 // predicates — and re-evaluated per tuple otherwise (nested iteration).
-func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*Env, error) {
-	q := li.q
-	if li.local {
+func (ex *Exec) bindSubqueryCheck(st *planStep, tuples []*Env, env *Env) ([]*Env, error) {
+	q := st.q
+	if st.correlated() {
 		// Correlated to sibling quantifiers. Under BatchCorrelated the
 		// whole outer stream evaluates set-at-a-time; the quantifier
 		// condition is order-insensitive over each tuple's materialized
 		// rows, so probing the batched results per tuple is exactly the
 		// per-tuple evaluation below.
-		if per, ok, err := ex.batchSubqueryRows(q, tuples, env); err != nil {
+		if per, ok, err := ex.batchSubqueryRows(st, tuples, env); err != nil {
 			return nil, err
 		} else if ok {
 			kept, err := parallelChunks(ex, len(tuples), subqMorsel, func(lo, hi int) ([]*Env, error) {
 				var out []*Env
 				for i := lo; i < hi; i++ {
-					pass, err := ex.quantCond(q, li.ties, per[i], tuples[i])
+					pass, err := ex.quantCond(q, st.ties, per[i], tuples[i])
 					if err != nil {
 						return nil, err
 					}
@@ -49,7 +49,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 			if err != nil {
 				return false, err
 			}
-			return ex.quantCond(q, li.ties, rows, t)
+			return ex.quantCond(q, st.ties, rows, t)
 		})
 	}
 
@@ -60,8 +60,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 
 	// Hash fast path: all ties are equalities between a probe expression
 	// (bound/outer side) and a subquery-side expression.
-	probeExprs, subExprs, hashable := splitTies(li.ties, q)
-	if hashable && (q.Kind == qgm.QExists || q.Kind == qgm.QNotExists || q.Kind == qgm.QAny) {
+	if st.tieHash {
 		if err := ex.hashBuildCheck(rows); err != nil {
 			return nil, err
 		}
@@ -72,7 +71,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 		}
 		keys, err := parallelMap(ex, rows, rowMorsel, func(r storage.Row) (buildKey, error) {
 			renv := Bind(env, q, r)
-			key, null, err := ex.keyFor(subExprs, renv)
+			key, null, err := ex.keyFor(st.tieSub, renv)
 			if err != nil {
 				return buildKey{}, err
 			}
@@ -89,7 +88,7 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 			}
 		}
 		return parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-			key, null, err := ex.keyFor(probeExprs, t)
+			key, null, err := ex.keyFor(st.tieProbe, t)
 			if err != nil {
 				return false, err
 			}
@@ -105,32 +104,8 @@ func (ex *Exec) bindSubqueryCheck(li *lateQuant, tuples []*Env, env *Env) ([]*En
 
 	// General slow path over the materialized rows.
 	return parallelFilter(ex, tuples, rowMorsel, func(t *Env) (bool, error) {
-		return ex.quantCond(q, li.ties, rows, t)
+		return ex.quantCond(q, st.ties, rows, t)
 	})
-}
-
-// splitTies decomposes tie predicates into (probe, subquery-side) equality
-// expression pairs; ok=false when any tie is not such an equality (then the
-// slow path runs). A bare EXISTS has zero ties and is trivially hashable.
-func splitTies(ties []*selPred, q *qgm.Quantifier) (probe, sub []qgm.Expr, ok bool) {
-	for _, pi := range ties {
-		bin, isBin := pi.expr.(*qgm.Bin)
-		if !isBin || bin.Op != qgm.OpEq {
-			return nil, nil, false
-		}
-		lq, rq := qgm.RefsQuant(bin.L, q), qgm.RefsQuant(bin.R, q)
-		switch {
-		case rq && !lq:
-			probe = append(probe, bin.L)
-			sub = append(sub, bin.R)
-		case lq && !rq:
-			probe = append(probe, bin.R)
-			sub = append(sub, bin.L)
-		default:
-			return nil, nil, false
-		}
-	}
-	return probe, sub, true
 }
 
 // quantCond evaluates the quantifier condition for one outer tuple against
@@ -142,12 +117,12 @@ func splitTies(ties []*selPred, q *qgm.Quantifier) (probe, sub []qgm.Expr, ok bo
 //	ALL         — every row compares TRUE (vacuously true when empty; a
 //	              FALSE or UNKNOWN row fails the predicate, which matches
 //	              SQL's rule that only an overall TRUE passes WHERE).
-func (ex *Exec) quantCond(q *qgm.Quantifier, ties []*selPred, rows []storage.Row, t *Env) (bool, error) {
+func (ex *Exec) quantCond(q *qgm.Quantifier, ties []qgm.Expr, rows []storage.Row, t *Env) (bool, error) {
 	rowTruth := func(r storage.Row) (sqltypes.Tri, error) {
 		renv := Bind(t, q, r)
 		acc := sqltypes.True
-		for _, pi := range ties {
-			tr, err := ex.EvalPred(pi.expr, renv)
+		for _, p := range ties {
+			tr, err := ex.EvalPred(p, renv)
 			if err != nil {
 				return sqltypes.Unknown, err
 			}

@@ -112,10 +112,12 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
+	// Put rewrites e.v under the shard lock, so read it before unlocking.
+	v := e.v
 	s.mu.Unlock()
 	c.hits.Inc()
 	c.hitLat.Observe(time.Since(start).Nanoseconds())
-	return e.v, true
+	return v, true
 }
 
 // Put stores v under key at the given epoch, replacing any existing entry
